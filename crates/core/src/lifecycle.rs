@@ -370,7 +370,7 @@ impl MdaLifecycle {
         workflow: WorkflowEngine,
         applied: Vec<AppliedConcern>,
     ) -> Self {
-        MdaLifecycle {
+        let mda = MdaLifecycle {
             model,
             repo,
             workflow,
@@ -383,6 +383,28 @@ impl MdaLifecycle {
             weave_misses: Cell::new(0),
             factory: GeneratorFactory::with_standard_backends(),
             gen_cache: RefCell::new(GenCache::new()),
+        };
+        // Every constructor hands over a repository whose head holds
+        // exactly `model`: the initial commit, or the recovered head.
+        mda.seed_content_address();
+        mda
+    }
+
+    /// Hands the head commit's hash to the generation cache as the
+    /// content address of the model's current revision, so the next
+    /// `generate` miss does no XMI export and no hash pass. Called only
+    /// where the model and the head are known to hold the same state —
+    /// after construction or recovery, a commit, and an undo — and
+    /// never read lazily from the head afterwards: a tag, branch or
+    /// undo through [`MdaLifecycle::repository_mut`] moves the head
+    /// without touching the model, while the memo stays keyed to the
+    /// revision it was captured for.
+    fn seed_content_address(&self) {
+        let mut cache = self.gen_cache.borrow_mut();
+        match self.repository().head() {
+            Some(head) => cache.seed_content_hash(&self.model, head.hash),
+            // Undoing the initial commit leaves no head to take it from.
+            None => cache.forget_revision(),
         }
     }
 
@@ -550,6 +572,7 @@ impl MdaLifecycle {
             None => *self.dirty_since.borrow_mut() = None,
         }
         self.model.commit_journal();
+        self.seed_content_address();
         self.applied.push(AppliedConcern { cmt, aspect, report });
         Ok(self.applied.last().expect("just pushed"))
     }
@@ -595,13 +618,14 @@ impl MdaLifecycle {
         self.model = restored;
         // The restored snapshot is a fresh model instance (its revision
         // counter restarts), so both incrementality caches are stale.
-        // The generation cache only drops its revision memo — entries
-        // are content-addressed, so the restored state re-hits the
-        // artifacts rendered before the undone step.
+        // The generation cache only replaces its revision memo with the
+        // restored head's hash — entries are content-addressed, so the
+        // restored state re-hits the artifacts rendered before the
+        // undone step.
         self.conditions.invalidate_all();
         *self.weave_cache.borrow_mut() = None;
         *self.dirty_since.borrow_mut() = Some(DirtySet::default());
-        self.gen_cache.borrow_mut().forget_revision();
+        self.seed_content_address();
         Ok(())
     }
 
@@ -901,6 +925,79 @@ mod tests {
         let after = mda.generate(&bodies, Backend::JavaFunctional).unwrap();
         assert_eq!(after.artifact, before);
         assert_eq!(mda.gen_cache_stats(), (1, 2));
+    }
+
+    /// The generation cache's memo, asserted to be the head commit's
+    /// hash for the model's current revision.
+    fn assert_memo_is_head(mda: &MdaLifecycle) {
+        let head = mda.repository().head().expect("a head commit").hash;
+        assert_eq!(mda.gen_cache.borrow().memo(), Some((mda.model().revision(), head)));
+    }
+
+    #[test]
+    fn commit_undo_and_recovery_seed_the_gen_cache_with_the_head_hash() {
+        let dir = std::env::temp_dir().join(format!("comet-lifecycle-seed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut mda = MdaLifecycle::new_durable(banking_pim(), fig2_workflow(), &dir).unwrap();
+        assert_memo_is_head(&mda);
+        mda.apply_concern(&distribution::pair(), dist_si()).unwrap();
+        assert_memo_is_head(&mda);
+        mda.apply_concern(&transactions::pair(), tx_si()).unwrap();
+        assert_memo_is_head(&mda);
+        mda.undo_last().unwrap();
+        assert_memo_is_head(&mda);
+        // A seeded miss renders the same bytes as a cache that exports
+        // and hashes for itself.
+        let bodies = BodyProvider::default();
+        let served = mda.generate(&bodies, Backend::Report).unwrap().artifact;
+        assert_eq!(mda.gen_cache_stats(), (0, 1));
+        drop(mda);
+        let resolve = |name: &str| match name {
+            "distribution" => Some((distribution::pair(), dist_si())),
+            "transactions" => Some((transactions::pair(), tx_si())),
+            _ => None,
+        };
+        let (recovered, _) = MdaLifecycle::recover(&dir, fig2_workflow(), resolve).unwrap();
+        assert_memo_is_head(&recovered);
+        *recovered.gen_cache.borrow_mut() = GenCache::new();
+        assert_eq!(recovered.generate(&bodies, Backend::Report).unwrap().artifact, served);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_commit_leaves_the_memo_untouched() {
+        use comet_middleware::FaultHook;
+        let mut mda = MdaLifecycle::new(banking_pim(), fig2_workflow()).unwrap();
+        mda.apply_concern(&distribution::pair(), dist_si()).unwrap();
+        let memo = mda.gen_cache.borrow().memo();
+        mda.repository_mut().arm_fault(comet_repo::FAULT_POINT_COMMIT).unwrap();
+        let err = mda.apply_concern(&transactions::pair(), tx_si()).unwrap_err();
+        assert!(matches!(err, LifecycleError::Repo(_)));
+        assert_eq!(mda.gen_cache.borrow().memo(), memo);
+        // The rolled-back model moved to a new revision, so the memo no
+        // longer answers for it; the next render re-derives the same
+        // address from the unchanged content.
+        let head = mda.repository().head().unwrap().hash;
+        assert_eq!(mda.gen_cache.borrow_mut().content_hash(mda.model()), head);
+    }
+
+    #[test]
+    fn repository_side_calls_never_serve_a_stale_artifact() {
+        let bodies = BodyProvider::default();
+        let mut mda = full_lifecycle();
+        let memo = mda.gen_cache.borrow().memo();
+        let content = comet_gen::fnv1a64(comet_xmi::export_model(mda.model()).as_bytes());
+        mda.repository_mut().tag("refined").unwrap();
+        mda.repository_mut().branch("side").unwrap();
+        // Step the head back behind the lifecycle's back: head and
+        // model now hold different states.
+        mda.repository_mut().undo().unwrap().unwrap();
+        assert_ne!(mda.repository().head().unwrap().hash, content);
+        assert_eq!(mda.gen_cache.borrow().memo(), memo, "side calls must not move the memo");
+        assert_eq!(memo.map(|(_, hash)| hash), Some(content));
+        let served = mda.generate(&bodies, Backend::Report).unwrap().artifact;
+        let fresh = full_lifecycle().generate(&bodies, Backend::Report).unwrap().artifact;
+        assert_eq!(served, fresh);
     }
 
     #[test]

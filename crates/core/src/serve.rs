@@ -36,6 +36,7 @@
 use crate::chaos::{banking_bodies, executable_banking_pim};
 use crate::lifecycle::{LifecycleError, MdaLifecycle};
 use comet_aspectgen::ConcernPair;
+use comet_codegen::BodyProvider;
 use comet_interaction::{build_matrix, pair_key, InteractionMatrix};
 use comet_middleware::{FaultLog, FaultPlan, Middleware, MiddlewareConfig};
 use comet_obs::Collector;
@@ -236,6 +237,9 @@ pub struct BankingSession {
     requests_seen: u64,
     /// Run-wide recovery counter, shared with the factory.
     recoveries: Arc<AtomicU64>,
+    /// The functional bodies every `Generate` renders with, built once
+    /// per session instead of once per request.
+    bodies: BodyProvider,
 }
 
 impl BankingSession {
@@ -284,6 +288,7 @@ impl BankingSession {
             kill_at,
             requests_seen: 0,
             recoveries: Arc::clone(&factory.recoveries),
+            bodies: banking_bodies(),
         };
         session.mw.bus.add_node("client");
         session.mw.bus.add_node("server");
@@ -390,8 +395,7 @@ impl TenantEngine for BankingSession {
                 let be = comet_gen::Backend::parse(backend)
                     .ok_or_else(|| ServeError::UnknownBackend(backend.clone()))?;
                 self.mw.bus.send("client", "server", 512).map_err(ServeError::engine)?;
-                let system =
-                    self.mda.generate(&banking_bodies(), be).map_err(ServeError::engine)?;
+                let system = self.mda.generate(&self.bodies, be).map_err(ServeError::engine)?;
                 Ok(format!("generated:{backend}:{}", system.woven.classes.len()))
             }
             Request::Query(_) => unreachable!("queries are batched via execute_queries"),

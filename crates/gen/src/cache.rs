@@ -13,6 +13,15 @@
 //! weaver keys its cache on. The memo (never the artifact map) must be
 //! dropped whenever the model *instance* is replaced, because revision
 //! counters are per instance; see [`GenCache::forget_revision`].
+//!
+//! **Where the address comes from.** A model revision has one content
+//! address: the FNV-1a hash of its canonical XMI export, which the
+//! repository computes when it commits the revision. A host that
+//! commits every revision it generates from — the MDA lifecycle — hands
+//! that commit hash over with [`GenCache::seed_content_hash`], and the
+//! next render at that revision does no export and no hash pass at all.
+//! [`GenCache::content_hash`] re-exports only for a model revision the
+//! cache was not given a hash for.
 
 use crate::{fnv1a64, GenInput, Generator};
 use comet_codegen::BodyProvider;
@@ -59,7 +68,8 @@ impl GenCache {
 
     /// The model's content hash: FNV-1a over the canonical XMI export,
     /// memoized by [`Model::revision`]. Two calls against an unchanged
-    /// instance pay one export; an edited model re-exports once.
+    /// instance pay one export; an edited model re-exports once; a
+    /// revision seeded with [`GenCache::seed_content_hash`] pays none.
     pub fn content_hash(&mut self, model: &Model) -> u64 {
         let revision = model.revision();
         if let Some((memo_revision, hash)) = self.memo {
@@ -70,6 +80,26 @@ impl GenCache {
         let hash = fnv1a64(export_model(model).as_bytes());
         self.memo = Some((revision, hash));
         hash
+    }
+
+    /// Records `hash` as `model`'s content hash at its current revision,
+    /// so the next render at this revision skips the export. The caller
+    /// vouches for the hash: it must be the FNV-1a hash of this model's
+    /// canonical XMI export — a commit hash the repository stored for
+    /// exactly this state. Debug builds re-derive it and panic on a
+    /// mismatch, so every debug test run checks the shared address.
+    pub fn seed_content_hash(&mut self, model: &Model, hash: u64) {
+        debug_assert_eq!(
+            hash,
+            fnv1a64(export_model(model).as_bytes()),
+            "seeded content hash is not the hash of the model's XMI export"
+        );
+        self.memo = Some((model.revision(), hash));
+    }
+
+    /// The `(revision, content hash)` memo, if one is held.
+    pub fn memo(&self) -> Option<(u64, u64)> {
+        self.memo
     }
 
     /// Renders `input` through `generator`, consulting the cache first.
@@ -231,6 +261,36 @@ mod tests {
         let gen_input = input(&model, &program, &concerns, &bodies);
         let (_, hit) = cache.render(generator, &gen_input);
         assert!(hit, "restored content must re-hit the original entry");
+    }
+
+    #[test]
+    fn a_seeded_hash_addresses_the_same_entry_as_an_exported_one() {
+        let (model, program, concerns, bodies) = fixture();
+        let generator = GeneratorFactory::with_standard_backends();
+        let generator = generator.get(Backend::Report).expect("registered");
+        let exported = fnv1a64(export_model(&model).as_bytes());
+        let mut cache = GenCache::new();
+        assert_eq!(cache.memo(), None);
+        cache.seed_content_hash(&model, exported);
+        assert_eq!(cache.memo(), Some((model.revision(), exported)));
+        assert_eq!(cache.content_hash(&model), exported);
+        let (cold, hit) = cache.render(generator, &input(&model, &program, &concerns, &bodies));
+        assert!(!hit);
+        // The entry sits under the seeded address: an unseeded cache
+        // that exports for itself finds the same key.
+        let mut unseeded = GenCache::new();
+        unseeded.entries = cache.entries.clone();
+        let (warm, hit) = unseeded.render(generator, &input(&model, &program, &concerns, &bodies));
+        assert!(hit);
+        assert_eq!(warm, cold);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "seeded content hash")]
+    fn seeding_a_wrong_hash_trips_the_debug_check() {
+        let model = banking_pim();
+        GenCache::new().seed_content_hash(&model, 42);
     }
 
     #[test]

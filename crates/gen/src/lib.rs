@@ -20,8 +20,8 @@
 //! order)`, value = the rendered artifact bytes. The
 //! content hash is memoized per [`Model::revision`], so a `Generate`
 //! request against an unchanged model is an O(1) map hit whose artifact
-//! is byte-identical to a cold render — the same hashing discipline the
-//! durable segment store uses for snapshot identity.
+//! is byte-identical to a cold render. A host that commits every
+//! revision seeds the memo with the repository's commit hash instead.
 
 mod cache;
 mod java;
@@ -37,16 +37,9 @@ use comet_codegen::{BodyProvider, Program};
 use comet_model::Model;
 use std::fmt;
 
-/// FNV-1a over raw bytes — the segment-store content-hash discipline,
-/// reused here so cache keys are stable across processes and platforms.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
+/// FNV-1a over raw bytes — the segment store's content hash, so cache
+/// keys are stable across processes and platforms.
+pub use comet_obs::fnv1a64;
 
 /// The registered generation targets, mirroring the RAISE
 /// `TransformationDomain` enum: one variant per backend, each with a

@@ -60,9 +60,11 @@
 
 mod collector;
 mod export;
+mod hash;
 mod json;
 mod provenance;
 
 pub use collector::{Collector, Event, Span, SpanId, Trace, TraceMark};
+pub use hash::{fnv1a64, fnv1a64_extend, FNV_OFFSET};
 pub use json::{escape as json_escape, JsonValue};
 pub use provenance::{AdviceEntry, ModelEntry, ProvenanceIndex, ProvenanceReport, RuntimeEntry};

@@ -42,15 +42,14 @@
 
 mod colors;
 mod diff;
-mod hash;
 mod recover;
 mod repo;
 mod segment;
 mod wal;
 
 pub use colors::ColorReport;
+pub use comet_obs::fnv1a64;
 pub use diff::{diff_models, ModelDiff};
-pub use hash::fnv1a64;
 pub use recover::{CompactionReport, DurableRepository, FsckReport, RecoveryReport};
 pub use repo::{
     Commit, CommitDelta, CommitId, RepoError, Repository, FAULT_POINT_COMMIT, FAULT_POINT_UNDO,

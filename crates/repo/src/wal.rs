@@ -16,7 +16,7 @@
 //! flushed first (an orphan segment is garbage, a dangling commit
 //! record would be corruption).
 
-use crate::hash::fnv1a64;
+use crate::fnv1a64;
 use crate::repo::{CommitDelta, CommitId};
 use comet_model::ElementId;
 use std::fs::{File, OpenOptions};

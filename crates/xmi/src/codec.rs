@@ -1,13 +1,22 @@
 //! The XMI codec: `comet-model` ⇄ XMI-1.2-flavoured XML.
+//!
+//! Export streams each element straight into one `String`; import
+//! parses an [`XmlNode`] tree and decodes from that.
+//!
+//! **Byte-identity contract.** The export bytes are the repository's
+//! snapshot format, and their FNV-1a hash is each revision's content
+//! address, so the layout is frozen. The workspace's golden documents
+//! (`tests/golden/xmi`) pin it, and `tests/xmi_interop.rs` checks the
+//! streaming writer against the tree-building writer it replaced.
 
-use crate::xml::{parse_xml, write_xml, XmlError, XmlNode};
+use crate::xml::{parse_xml, XmlError, XmlNode};
 use comet_model::{
     AggregationKind, AssociationData, AssociationEnd, AttributeData, ClassData, ConstraintData,
     DataTypeData, DependencyData, Direction, Element, ElementCore, ElementId, ElementKind,
     EnumerationData, GeneralizationData, InterfaceData, Model, Multiplicity, OperationData,
     PackageData, ParameterData, Primitive, TagValue, TypeRef, Visibility,
 };
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// XMI import failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,30 +50,35 @@ impl From<XmlError> for XmiError {
     }
 }
 
-fn vis_str(v: Visibility) -> &'static str {
-    match v {
-        Visibility::Public => "public",
-        Visibility::Protected => "protected",
-        Visibility::Package => "package",
-        Visibility::Private => "private",
-    }
+/// The XMI spelling of each enumerated value, for both directions.
+const VISIBILITY: [(Visibility, &str); 4] = [
+    (Visibility::Public, "public"),
+    (Visibility::Protected, "protected"),
+    (Visibility::Package, "package"),
+    (Visibility::Private, "private"),
+];
+const DIRECTION: [(Direction, &str); 4] = [
+    (Direction::In, "in"),
+    (Direction::Out, "out"),
+    (Direction::InOut, "inout"),
+    (Direction::Return, "return"),
+];
+const AGGREGATION: [(AggregationKind, &str); 3] = [
+    (AggregationKind::None, "none"),
+    (AggregationKind::Shared, "shared"),
+    (AggregationKind::Composite, "composite"),
+];
+
+fn word<T: PartialEq>(table: &[(T, &'static str)], value: T) -> &'static str {
+    table.iter().find(|(v, _)| *v == value).map(|(_, w)| *w).expect("every variant is listed")
 }
 
-fn parse_vis(s: &str) -> Result<Visibility, XmiError> {
-    match s {
-        "public" => Ok(Visibility::Public),
-        "protected" => Ok(Visibility::Protected),
-        "package" => Ok(Visibility::Package),
-        "private" => Ok(Visibility::Private),
-        other => Err(XmiError::Bad(format!("visibility `{other}`"))),
-    }
-}
-
-fn type_str(t: TypeRef) -> String {
-    match t {
-        TypeRef::Primitive(p) => p.name().to_owned(),
-        TypeRef::Element(id) => format!("#{}", id.raw()),
-    }
+fn parse_word<T: Copy>(table: &[(T, &str)], word: &str, what: &str) -> Result<T, XmiError> {
+    table
+        .iter()
+        .find(|(_, w)| *w == word)
+        .map(|(v, _)| *v)
+        .ok_or_else(|| XmiError::Bad(format!("{what} `{word}`")))
 }
 
 fn parse_type(s: &str) -> Result<TypeRef, XmiError> {
@@ -75,13 +89,6 @@ fn parse_type(s: &str) -> Result<TypeRef, XmiError> {
         Primitive::parse(s)
             .map(TypeRef::Primitive)
             .ok_or_else(|| XmiError::Bad(format!("type `{s}`")))
-    }
-}
-
-fn mult_str(m: Multiplicity) -> String {
-    match m.upper {
-        Some(u) => format!("{}..{}", m.lower, u),
-        None => format!("{}..*", m.lower),
     }
 }
 
@@ -97,31 +104,10 @@ fn parse_mult(s: &str) -> Result<Multiplicity, XmiError> {
     Ok(Multiplicity { lower, upper })
 }
 
-fn id_str(id: ElementId) -> String {
-    format!("#{}", id.raw())
-}
-
 fn parse_id(s: &str) -> Result<ElementId, XmiError> {
     let raw = s.strip_prefix('#').ok_or_else(|| XmiError::Bad(format!("id `{s}`")))?;
     let n: u64 = raw.parse().map_err(|_| XmiError::Bad(format!("id `{s}`")))?;
     Ok(ElementId::from_raw(n))
-}
-
-fn tag_value_node(name: &str, value: &TagValue) -> XmlNode {
-    let node = XmlNode::new(name);
-    match value {
-        TagValue::Str(s) => node.attr("type", "str").attr("value", s.clone()),
-        TagValue::Int(i) => node.attr("type", "int").attr("value", i.to_string()),
-        TagValue::Bool(b) => node.attr("type", "bool").attr("value", b.to_string()),
-        TagValue::Real(r) => node.attr("type", "real").attr("value", format!("{r:?}")),
-        TagValue::List(items) => {
-            let mut n = node.attr("type", "list");
-            for item in items {
-                n = n.child(tag_value_node("UML:Value", item));
-            }
-            n
-        }
-    }
 }
 
 fn parse_tag_value(node: &XmlNode) -> Result<TagValue, XmiError> {
@@ -147,22 +133,6 @@ fn parse_tag_value(node: &XmlNode) -> Result<TagValue, XmiError> {
     }
 }
 
-fn end_node(end: &AssociationEnd) -> XmlNode {
-    XmlNode::new("UML:End")
-        .attr("role", end.role.clone())
-        .attr("class", id_str(end.class))
-        .attr("multiplicity", mult_str(end.multiplicity))
-        .attr("navigable", end.navigable.to_string())
-        .attr(
-            "aggregation",
-            match end.aggregation {
-                AggregationKind::None => "none",
-                AggregationKind::Shared => "shared",
-                AggregationKind::Composite => "composite",
-            },
-        )
-}
-
 fn parse_end(node: &XmlNode) -> Result<AssociationEnd, XmiError> {
     Ok(AssociationEnd {
         role: node.get_attr("role").unwrap_or_default().to_owned(),
@@ -178,106 +148,254 @@ fn parse_end(node: &XmlNode) -> Result<AssociationEnd, XmiError> {
             .unwrap_or("true")
             .parse()
             .map_err(|_| XmiError::Bad("navigable".into()))?,
-        aggregation: match node.get_attr("aggregation").unwrap_or("none") {
-            "none" => AggregationKind::None,
-            "shared" => AggregationKind::Shared,
-            "composite" => AggregationKind::Composite,
-            other => return Err(XmiError::Bad(format!("aggregation `{other}`"))),
-        },
+        aggregation: parse_word(
+            &AGGREGATION,
+            node.get_attr("aggregation").unwrap_or("none"),
+            "aggregation",
+        )?,
     })
 }
 
-fn element_node(e: &Element) -> XmlNode {
-    let mut node = XmlNode::new("UML:Element")
-        .attr("xmi.id", id_str(e.id()))
-        .attr("kind", e.kind().kind_name())
-        .attr("name", e.name().to_owned())
-        .attr("visibility", vis_str(e.core().visibility));
-    if let Some(o) = e.owner() {
-        node = node.attr("owner", id_str(o));
+/// Appends `s` to `out` with the five XML metacharacters replaced by
+/// their predefined entities. The runs between metacharacters are
+/// copied whole, so a value that holds none — nearly every name, id and
+/// type in a model — costs a single `push_str`.
+fn escape(s: &str, out: &mut String) {
+    let mut copied = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let entity = match byte {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' => "&quot;",
+            b'\'' => "&apos;",
+            _ => continue,
+        };
+        // Metacharacters are ASCII, so `i` is always a char boundary.
+        out.push_str(&s[copied..i]);
+        out.push_str(entity);
+        copied = i + 1;
     }
-    if !e.core().doc.is_empty() {
-        node = node.attr("doc", e.core().doc.clone());
-    }
-    for s in &e.core().stereotypes {
-        node = node.child(XmlNode::new("UML:Stereotype").attr("name", s.clone()));
-    }
-    for (k, v) in &e.core().tags {
-        node = node.child(tag_value_node("UML:TaggedValue", v).attr("key", k.clone()));
-    }
-    match e.kind() {
-        ElementKind::Package(_) | ElementKind::Interface(_) | ElementKind::DataType(_) => {}
-        ElementKind::Class(c) => {
-            node = node
-                .attr("isAbstract", c.is_abstract.to_string())
-                .attr("isActive", c.is_active.to_string());
-        }
-        ElementKind::Enumeration(en) => {
-            for l in &en.literals {
-                node = node.child(XmlNode::new("UML:Literal").attr("name", l.clone()));
-            }
-        }
-        ElementKind::Attribute(a) => {
-            node = node
-                .attr("type", type_str(a.ty))
-                .attr("multiplicity", mult_str(a.multiplicity))
-                .attr("isStatic", a.is_static.to_string())
-                .attr("isReadOnly", a.is_read_only.to_string());
-            if let Some(d) = &a.default {
-                node = node.attr("default", d.clone());
-            }
-        }
-        ElementKind::Operation(o) => {
-            node = node
-                .attr("returnType", type_str(o.return_type))
-                .attr("isStatic", o.is_static.to_string())
-                .attr("isAbstract", o.is_abstract.to_string())
-                .attr("isQuery", o.is_query.to_string());
-        }
-        ElementKind::Parameter(p) => {
-            node = node.attr("type", type_str(p.ty)).attr(
-                "direction",
-                match p.direction {
-                    Direction::In => "in",
-                    Direction::Out => "out",
-                    Direction::InOut => "inout",
-                    Direction::Return => "return",
-                },
-            );
-        }
-        ElementKind::Association(a) => {
-            node = node.child(end_node(&a.ends[0])).child(end_node(&a.ends[1]));
-        }
-        ElementKind::Generalization(g) => {
-            node = node.attr("child", id_str(g.child)).attr("parent", id_str(g.parent));
-        }
-        ElementKind::Dependency(d) => {
-            node = node.attr("client", id_str(d.client)).attr("supplier", id_str(d.supplier));
-        }
-        ElementKind::Constraint(c) => {
-            node = node.attr("constrained", id_str(c.constrained)).attr("body", c.body.clone());
-        }
-    }
-    node
+    out.push_str(&s[copied..]);
 }
 
-/// Exports a model as an XMI document string.
-pub fn export_model(model: &Model) -> String {
-    let mut content = XmlNode::new("UML:Model")
-        .attr("name", model.name().to_owned())
-        .attr("root", id_str(model.root()));
-    for e in model.iter() {
-        content = content.child(element_node(e));
+/// The streaming writer: start tags, attributes and end tags go
+/// straight into one `String`, two spaces of indent per level and one
+/// element per line. A start tag stays open until its first child
+/// seals it with `>`, so an element that gets no child closes itself
+/// with `/>`.
+struct XmiWriter {
+    out: String,
+    unsealed: bool,
+}
+
+impl XmiWriter {
+    /// Starts `<tag` on its own line at nesting `depth`.
+    fn open(&mut self, depth: usize, tag: &str) {
+        if std::mem::take(&mut self.unsealed) {
+            self.out.push_str(">\n");
+        }
+        self.out.extend(std::iter::repeat_n("  ", depth));
+        self.out.push('<');
+        self.out.push_str(tag);
+        self.unsealed = true;
     }
-    let doc = XmlNode::new("XMI")
-        .attr("xmi.version", "1.2")
-        .attr("xmlns:UML", "org.omg.xmi.namespace.UML")
-        .child(
-            XmlNode::new("XMI.header")
-                .child(XmlNode::new("XMI.documentation").attr("exporter", "comet-xmi")),
-        )
-        .child(XmlNode::new("XMI.content").child(content));
-    write_xml(&doc)
+
+    fn close(&mut self, depth: usize, tag: &str) {
+        if std::mem::take(&mut self.unsealed) {
+            self.out.push_str("/>\n");
+        } else {
+            self.out.extend(std::iter::repeat_n("  ", depth));
+            writeln!(self.out, "</{tag}>").expect("writing to a String cannot fail");
+        }
+    }
+
+    fn key(&mut self, key: &str) {
+        self.out.push(' ');
+        self.out.push_str(key);
+        self.out.push_str("=\"");
+    }
+
+    /// ` key="value"` with the value escaped.
+    fn text(&mut self, key: &str, value: &str) {
+        self.key(key);
+        escape(value, &mut self.out);
+        self.out.push('"');
+    }
+
+    /// ` key="value"` for a formatted value that holds no
+    /// metacharacter: ids, numbers, multiplicities.
+    fn raw(&mut self, key: &str, value: fmt::Arguments<'_>) {
+        self.key(key);
+        self.out.write_fmt(value).expect("writing to a String cannot fail");
+        self.out.push('"');
+    }
+
+    fn flag(&mut self, key: &str, value: bool) {
+        self.text(key, if value { "true" } else { "false" });
+    }
+
+    fn id(&mut self, key: &str, id: ElementId) {
+        self.raw(key, format_args!("#{}", id.raw()));
+    }
+
+    fn ty(&mut self, key: &str, ty: TypeRef) {
+        match ty {
+            TypeRef::Primitive(p) => self.text(key, p.name()),
+            TypeRef::Element(id) => self.id(key, id),
+        }
+    }
+
+    fn mult(&mut self, key: &str, m: Multiplicity) {
+        match m.upper {
+            Some(upper) => self.raw(key, format_args!("{}..{upper}", m.lower)),
+            None => self.raw(key, format_args!("{}..*", m.lower)),
+        }
+    }
+
+    /// An element whose only content is a `name` attribute.
+    fn named(&mut self, depth: usize, tag: &str, name: &str) {
+        self.open(depth, tag);
+        self.text("name", name);
+        self.close(depth, tag);
+    }
+
+    /// A tagged value (`key` set) or one item of a list value.
+    fn tag_value(&mut self, depth: usize, tag: &str, key: Option<&str>, value: &TagValue) {
+        self.open(depth, tag);
+        match value {
+            TagValue::Str(_) => self.text("type", "str"),
+            TagValue::Int(_) => self.text("type", "int"),
+            TagValue::Bool(_) => self.text("type", "bool"),
+            TagValue::Real(_) => self.text("type", "real"),
+            TagValue::List(_) => self.text("type", "list"),
+        }
+        match value {
+            TagValue::Str(s) => self.text("value", s),
+            TagValue::Int(i) => self.raw("value", format_args!("{i}")),
+            TagValue::Bool(b) => self.flag("value", *b),
+            TagValue::Real(r) => self.raw("value", format_args!("{r:?}")),
+            TagValue::List(_) => {}
+        }
+        if let Some(key) = key {
+            self.text("key", key);
+        }
+        for item in value.as_list().unwrap_or_default() {
+            self.tag_value(depth + 1, "UML:Value", None, item);
+        }
+        self.close(depth, tag);
+    }
+
+    /// One `UML:Element`: common attributes, the kind's attributes,
+    /// then stereotypes, tagged values and the kind's children.
+    fn element(&mut self, e: &Element) {
+        const DEPTH: usize = 3;
+        let core = e.core();
+        self.open(DEPTH, "UML:Element");
+        self.id("xmi.id", e.id());
+        self.text("kind", e.kind().kind_name());
+        self.text("name", e.name());
+        self.text("visibility", word(&VISIBILITY, core.visibility));
+        if let Some(owner) = e.owner() {
+            self.id("owner", owner);
+        }
+        if !core.doc.is_empty() {
+            self.text("doc", &core.doc);
+        }
+        match e.kind() {
+            ElementKind::Class(c) => {
+                self.flag("isAbstract", c.is_abstract);
+                self.flag("isActive", c.is_active);
+            }
+            ElementKind::Attribute(a) => {
+                self.ty("type", a.ty);
+                self.mult("multiplicity", a.multiplicity);
+                self.flag("isStatic", a.is_static);
+                self.flag("isReadOnly", a.is_read_only);
+                if let Some(default) = &a.default {
+                    self.text("default", default);
+                }
+            }
+            ElementKind::Operation(o) => {
+                self.ty("returnType", o.return_type);
+                self.flag("isStatic", o.is_static);
+                self.flag("isAbstract", o.is_abstract);
+                self.flag("isQuery", o.is_query);
+            }
+            ElementKind::Parameter(p) => {
+                self.ty("type", p.ty);
+                self.text("direction", word(&DIRECTION, p.direction));
+            }
+            ElementKind::Generalization(g) => {
+                self.id("child", g.child);
+                self.id("parent", g.parent);
+            }
+            ElementKind::Dependency(d) => {
+                self.id("client", d.client);
+                self.id("supplier", d.supplier);
+            }
+            ElementKind::Constraint(c) => {
+                self.id("constrained", c.constrained);
+                self.text("body", &c.body);
+            }
+            ElementKind::Package(_)
+            | ElementKind::Interface(_)
+            | ElementKind::DataType(_)
+            | ElementKind::Enumeration(_)
+            | ElementKind::Association(_) => {}
+        }
+        for s in &core.stereotypes {
+            self.named(DEPTH + 1, "UML:Stereotype", s);
+        }
+        for (key, value) in &core.tags {
+            self.tag_value(DEPTH + 1, "UML:TaggedValue", Some(key), value);
+        }
+        match e.kind() {
+            ElementKind::Enumeration(en) => {
+                for literal in &en.literals {
+                    self.named(DEPTH + 1, "UML:Literal", literal);
+                }
+            }
+            ElementKind::Association(a) => {
+                for end in &a.ends {
+                    self.open(DEPTH + 1, "UML:End");
+                    self.text("role", &end.role);
+                    self.id("class", end.class);
+                    self.mult("multiplicity", end.multiplicity);
+                    self.flag("navigable", end.navigable);
+                    self.text("aggregation", word(&AGGREGATION, end.aggregation));
+                    self.close(DEPTH + 1, "UML:End");
+                }
+            }
+            _ => {}
+        }
+        self.close(DEPTH, "UML:Element");
+    }
+}
+
+/// Exports a model as an XMI document string (see the module docs for
+/// the byte-identity contract).
+pub fn export_model(model: &Model) -> String {
+    // ~150 bytes per element on the benchmark models.
+    let out = String::with_capacity(256 + 160 * model.len());
+    let mut w = XmiWriter { out, unsealed: false };
+    w.out.push_str(concat!(
+        "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n",
+        "<XMI xmi.version=\"1.2\" xmlns:UML=\"org.omg.xmi.namespace.UML\">\n",
+        "  <XMI.header>\n",
+        "    <XMI.documentation exporter=\"comet-xmi\"/>\n",
+        "  </XMI.header>\n",
+        "  <XMI.content>\n",
+    ));
+    w.open(2, "UML:Model");
+    w.text("name", model.name());
+    w.id("root", model.root());
+    for e in model.iter() {
+        w.element(e);
+    }
+    w.close(2, "UML:Model");
+    w.out.push_str("  </XMI.content>\n</XMI>\n");
+    w.out
 }
 
 fn attr_bool(node: &XmlNode, key: &str) -> Result<bool, XmiError> {
@@ -294,7 +412,8 @@ fn parse_element(node: &XmlNode) -> Result<Element, XmiError> {
         node.get_attr("name").unwrap_or_default(),
         node.get_attr("owner").map(parse_id).transpose()?,
     );
-    core.visibility = parse_vis(node.get_attr("visibility").unwrap_or("public"))?;
+    core.visibility =
+        parse_word(&VISIBILITY, node.get_attr("visibility").unwrap_or("public"), "visibility")?;
     core.doc = node.get_attr("doc").unwrap_or_default().to_owned();
     for s in node.find_children("UML:Stereotype") {
         core.apply_stereotype(
@@ -342,13 +461,7 @@ fn parse_element(node: &XmlNode) -> Result<Element, XmiError> {
         }),
         "Parameter" => ElementKind::Parameter(ParameterData {
             ty: parse_type(attr("type")?)?,
-            direction: match attr("direction")? {
-                "in" => Direction::In,
-                "out" => Direction::Out,
-                "inout" => Direction::InOut,
-                "return" => Direction::Return,
-                other => return Err(XmiError::Bad(format!("direction `{other}`"))),
-            },
+            direction: parse_word(&DIRECTION, attr("direction")?, "direction")?,
         }),
         "Association" => {
             let ends: Vec<AssociationEnd> =

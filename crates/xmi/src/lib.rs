@@ -2,12 +2,14 @@
 //!
 //! Section 3 of the paper requires "support for importing/exporting
 //! models in XMI format". This crate provides a dependency-free XML
-//! reader/writer ([`XmlNode`], [`parse_xml`], [`write_xml`]) and an
-//! XMI-1.2-flavoured codec between `comet-model` models and XML
-//! documents ([`export_model`], [`import_model`]).
+//! reader ([`XmlNode`], [`parse_xml`]) and an XMI-1.2-flavoured codec
+//! between `comet-model` models and XML documents ([`export_model`],
+//! [`import_model`]).
 //!
 //! Round-trip fidelity (`import(export(m)) == m`) is the contract, and
-//! is property-tested in the crate's test suite.
+//! is property-tested in the crate's test suite. The export bytes are
+//! frozen too: they are the repository's snapshot format and each
+//! revision's content address.
 //!
 //! ## Example
 //!
@@ -29,4 +31,4 @@ mod codec;
 mod xml;
 
 pub use codec::{export_model, import_model, XmiError};
-pub use xml::{parse_xml, write_xml, XmlError, XmlNode};
+pub use xml::{parse_xml, XmlError, XmlNode};

@@ -1,7 +1,7 @@
-//! Minimal XML: a node tree, an escaping writer, and a recursive-descent
-//! parser. Supports elements, attributes, text content, self-closing
-//! tags, comments, processing instructions/XML declarations (skipped),
-//! and the five predefined entities. No namespaces semantics (prefixes
+//! Minimal XML reading: a node tree and a recursive-descent parser.
+//! Supports elements, attributes, text content, self-closing tags,
+//! comments, processing instructions/XML declarations (skipped), and
+//! the five predefined entities. No namespaces semantics (prefixes
 //! are kept as literal name parts), no DTDs, no CDATA.
 
 use std::fmt;
@@ -23,18 +23,6 @@ impl XmlNode {
     /// Creates an element with a name.
     pub fn new(name: impl Into<String>) -> Self {
         XmlNode { name: name.into(), ..XmlNode::default() }
-    }
-
-    /// Adds an attribute, builder style.
-    pub fn attr(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.attrs.push((key.into(), value.into()));
-        self
-    }
-
-    /// Adds a child, builder style.
-    pub fn child(mut self, child: XmlNode) -> Self {
-        self.children.push(child);
-        self
     }
 
     /// Looks up an attribute value.
@@ -69,61 +57,6 @@ impl fmt::Display for XmlError {
 }
 
 impl std::error::Error for XmlError {}
-
-fn escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            other => out.push(other),
-        }
-    }
-}
-
-/// Serializes a node tree to a document string with an XML declaration.
-pub fn write_xml(root: &XmlNode) -> String {
-    let mut out = String::from("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n");
-    write_node(root, 0, &mut out);
-    out
-}
-
-fn write_node(node: &XmlNode, indent: usize, out: &mut String) {
-    for _ in 0..indent {
-        out.push_str("  ");
-    }
-    out.push('<');
-    out.push_str(&node.name);
-    for (k, v) in &node.attrs {
-        out.push(' ');
-        out.push_str(k);
-        out.push_str("=\"");
-        escape(v, out);
-        out.push('"');
-    }
-    if node.children.is_empty() && node.text.is_empty() {
-        out.push_str("/>\n");
-        return;
-    }
-    out.push('>');
-    if !node.text.is_empty() {
-        escape(&node.text, out);
-    }
-    if !node.children.is_empty() {
-        out.push('\n');
-        for c in &node.children {
-            write_node(c, indent + 1, out);
-        }
-        for _ in 0..indent {
-            out.push_str("  ");
-        }
-    }
-    out.push_str("</");
-    out.push_str(&node.name);
-    out.push_str(">\n");
-}
 
 /// Parses a document into its root element.
 ///
@@ -354,19 +287,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn writes_and_parses_round_trip() {
-        let doc = XmlNode::new("root")
-            .attr("a", "1")
-            .attr("weird", "a<b&\"c'")
-            .child(XmlNode::new("child").attr("x", "y"))
-            .child({
-                let mut t = XmlNode::new("text");
-                t.text = "hello <world> & 'friends'".into();
-                t
-            });
-        let s = write_xml(&doc);
-        let back = parse_xml(&s).unwrap();
-        assert_eq!(doc, back);
+    fn parses_escaped_attributes_children_and_text() {
+        let src = "<root a=\"1\" weird=\"a&lt;b&amp;&quot;c&apos;\">\n  <child x=\"y\"/>\n  \
+                   <text>hello &lt;world&gt; &amp; &apos;friends&apos;</text>\n</root>\n";
+        let n = parse_xml(src).unwrap();
+        assert_eq!(n.attrs, [("a".into(), "1".into()), ("weird".into(), "a<b&\"c'".into())]);
+        assert_eq!(n.find_child("child").unwrap().get_attr("x"), Some("y"));
+        assert_eq!(n.find_child("text").unwrap().text, "hello <world> & 'friends'");
     }
 
     #[test]
